@@ -58,45 +58,6 @@ CheckResult check(const History& history) {
   return result;
 }
 
-std::uint64_t inversion_magnitude(const History& history) {
-  if (history.empty()) return 0;
-  // Same sweep as check(), keeping only the running maximum: starts before
-  // ends at equal times, so exact-touch counts as overlap, not precedence.
-  struct Event {
-    double time;
-    bool is_end;  // false = start
-    std::size_t op;
-  };
-  std::vector<Event> events;
-  events.reserve(history.size() * 2);
-  for (std::size_t i = 0; i < history.size(); ++i) {
-    CNET_CHECK_MSG(history[i].start <= history[i].end, "operation ends before it starts");
-    events.push_back({history[i].start, false, i});
-    events.push_back({history[i].end, true, i});
-  }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.is_end != b.is_end) return !a.is_end;  // starts first
-    return a.op < b.op;
-  });
-
-  std::uint64_t worst = 0;
-  std::uint64_t max_completed = 0;
-  bool any_completed = false;
-  for (const Event& ev : events) {
-    const Operation& op = history[ev.op];
-    if (ev.is_end) {
-      if (!any_completed || op.value > max_completed) {
-        max_completed = op.value;
-        any_completed = true;
-      }
-    } else if (any_completed && max_completed > op.value) {
-      worst = std::max(worst, max_completed - op.value);
-    }
-  }
-  return worst;
-}
-
 SeqConsistencyResult check_sequential_consistency(const History& history) {
   SeqConsistencyResult result;
   result.total_ops = history.size();

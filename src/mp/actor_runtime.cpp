@@ -102,8 +102,12 @@ void ActorRuntime::start() {
   shards_ = std::make_unique<MpmcRing[]>(options_.workers);
   worker_stats_ = std::make_unique<WorkerStat[]>(options_.workers + kClientStatShards);
   for (std::uint32_t i = 0; i < options_.workers; ++i) shards_[i].init(capacity);
+  pool_.reserve(options_.workers);  // counted up front, so attach() allocates nothing
   for (std::uint32_t i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this, i] { lf_worker_loop(i); });
+    workers_.emplace_back([this, i] {
+      pool_.attach();
+      lf_worker_loop(i);
+    });
   }
 }
 

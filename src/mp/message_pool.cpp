@@ -42,7 +42,12 @@ MessagePool::MessagePool()
 
 MessagePool::~MessagePool() = default;  // slabs_ frees every node ever made
 
-MessagePool::Cache& MessagePool::cache_for_this_thread() {
+void MessagePool::reserve(std::uint32_t caches) {
+  const std::scoped_lock lock(mutex_);
+  caches_ += caches;
+}
+
+MessagePool::Cache& MessagePool::cache_for_this_thread(bool reserved) {
   Cache* caches = tls_slots();
   for (std::uint32_t i = 0; i < kCacheSlots; ++i) {
     Cache& cache = caches[i];
@@ -65,7 +70,31 @@ MessagePool::Cache& MessagePool::cache_for_this_thread() {
   victim->generation = generation_;
   victim->head = nullptr;
   victim->size = 0;
+  if (!reserved) {
+    const std::scoped_lock lock(mutex_);
+    ++caches_;
+    provision();
+  }
   return *victim;
+}
+
+void MessagePool::provision() {
+  // Every other cache may hold up to kCacheMax - 1 nodes; one more slab
+  // covers the newest cache's first refill and the nodes in flight.
+  const std::uint64_t want = (caches_ - 1) * kCacheMax + kSlabNodes;
+  while (static_cast<std::uint64_t>(slabs_.size()) * kSlabNodes < want) {
+    add_slab(shared_head_);
+    shared_size_ += kSlabNodes;
+  }
+}
+
+void MessagePool::add_slab(MpscNode*& head) {
+  auto slab = std::make_unique<MpscNode[]>(kSlabNodes);
+  for (std::uint32_t i = 0; i < kSlabNodes; ++i) {
+    slab[i].next.store(head, std::memory_order_relaxed);
+    head = &slab[i];
+  }
+  slabs_.push_back(std::move(slab));
 }
 
 MpscNode* MessagePool::acquire() {
@@ -101,13 +130,8 @@ void MessagePool::refill(Cache& cache) {
     return;
   }
   // Shared list dry: grow by one slab, handed whole to this cache.
-  auto slab = std::make_unique<MpscNode[]>(kSlabNodes);
-  for (std::uint32_t i = 0; i < kSlabNodes; ++i) {
-    slab[i].next.store(cache.head, std::memory_order_relaxed);
-    cache.head = &slab[i];
-  }
+  add_slab(cache.head);
   cache.size += kSlabNodes;
-  slabs_.push_back(std::move(slab));
 }
 
 void MessagePool::donate(Cache& cache) {
@@ -136,6 +160,7 @@ MessagePool::Stats MessagePool::stats() const {
   stats.nodes = static_cast<std::uint64_t>(slabs_.size()) * kSlabNodes;
   stats.refills = refills_;
   stats.donations = donations_;
+  stats.caches = caches_;
   return stats;
 }
 

@@ -13,22 +13,13 @@ constexpr std::uint64_t kPaired = 1ull << 32;
 
 McsToggleBalancer::McsToggleBalancer(Engine& engine, Memory& mem, std::uint32_t max_procs,
                                      std::uint32_t fan_out)
-    : engine_(&engine), mem_(&mem), lock_(mem, max_procs), fan_out_(fan_out) {
+    : engine_(&engine), lock_(mem, max_procs), fan_out_(fan_out) {
   CNET_CHECK(fan_out >= 1);
   count_addr_ = mem.alloc(0);
 }
 
 Coro<std::uint32_t> McsToggleBalancer::traverse(std::uint32_t proc, Rng&) {
-  const Cycle arrival = engine_->now();
-  co_await lock_.acquire(proc);
-  // Critical section: read and advance the traversal counter (for a 2x2
-  // balancer this is the toggle bit of [4]).
-  const std::uint64_t count = co_await mem_->load(count_addr_);
-  co_await mem_->store(count_addr_, count + 1);
-  stats_.tog_wait.add(static_cast<double>(engine_->now() - arrival));
-  ++stats_.toggles;
-  co_await lock_.release(proc);
-  co_return static_cast<std::uint32_t>(count % fan_out_);
+  return lock_.toggle(proc, count_addr_, fan_out_, engine_->now(), stats_);
 }
 
 DiffractingBalancer::DiffractingBalancer(Engine& engine, Memory& mem, std::uint32_t max_procs,
@@ -83,17 +74,7 @@ Coro<std::uint32_t> DiffractingBalancer::traverse(std::uint32_t proc, Rng& rng) 
       }
     }
   }
-  co_return co_await toggle_path(proc, arrival);
-}
-
-Coro<std::uint32_t> DiffractingBalancer::toggle_path(std::uint32_t proc, Cycle arrival) {
-  co_await lock_.acquire(proc);
-  const std::uint64_t t = co_await mem_->load(toggle_addr_);
-  co_await mem_->store(toggle_addr_, t ^ 1);
-  stats_.tog_wait.add(static_cast<double>(engine_->now() - arrival));
-  ++stats_.toggles;
-  co_await lock_.release(proc);
-  co_return static_cast<std::uint32_t>(t);
+  co_return co_await lock_.toggle(proc, toggle_addr_, 2, arrival, stats_);
 }
 
 }  // namespace cnet::psim

@@ -16,50 +16,39 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "psim/coro.h"
 #include "psim/engine.h"
 #include "psim/mcs_lock.h"
 #include "psim/memory.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace cnet::psim {
 
-struct BalancerStats {
-  Summary tog_wait;               ///< per toggling token: arrival -> toggled
-  std::uint64_t toggles = 0;      ///< tokens that went through the toggle
-  std::uint64_t diffractions = 0; ///< tokens that left via a prism collision
-};
+// Balancers are concrete classes with no common virtual interface: the
+// machine stores each kind by value and dispatches a hop on the node's kind,
+// so the per-hop path makes no virtual call. BalancerStats lives in
+// mcs_lock.h, beside the critical section that fills it.
 
-class Balancer {
- public:
-  virtual ~Balancer() = default;
-
-  /// Routes one token of processor `proc` through the balancer; returns the
-  /// output port. Simulated time passes inside.
-  virtual Coro<std::uint32_t> traverse(std::uint32_t proc, Rng& rng) = 0;
-
-  const BalancerStats& stats() const { return stats_; }
-
- protected:
-  BalancerStats stats_;
-};
-
-class McsToggleBalancer final : public Balancer {
+class McsToggleBalancer {
  public:
   McsToggleBalancer(Engine& engine, Memory& mem, std::uint32_t max_procs,
                     std::uint32_t fan_out);
 
-  Coro<std::uint32_t> traverse(std::uint32_t proc, Rng& rng) override;
+  /// Routes one token of processor `proc` through the balancer; returns the
+  /// output port. Simulated time passes inside. The returned coroutine is
+  /// the lock's critical section itself: one frame per hop.
+  Coro<std::uint32_t> traverse(std::uint32_t proc, Rng& rng);
+
+  const BalancerStats& stats() const { return stats_; }
 
  private:
   Engine* engine_;
-  Memory* mem_;
   McsLock lock_;
   std::uint32_t fan_out_;
   std::uint32_t count_addr_;  ///< tokens traversed; port = count % fan_out
+  BalancerStats stats_;
 };
 
 struct PrismParams {
@@ -73,23 +62,26 @@ struct PrismParams {
   std::uint32_t attempts = 1;
 };
 
-class DiffractingBalancer final : public Balancer {
+class DiffractingBalancer {
  public:
   /// 1-in/2-out prism balancer (the only shape diffracting trees use).
   DiffractingBalancer(Engine& engine, Memory& mem, std::uint32_t max_procs,
                       const PrismParams& params);
 
-  Coro<std::uint32_t> traverse(std::uint32_t proc, Rng& rng) override;
+  /// As McsToggleBalancer::traverse; a token that finds no partner falls
+  /// through to the lock's toggle section.
+  Coro<std::uint32_t> traverse(std::uint32_t proc, Rng& rng);
+
+  const BalancerStats& stats() const { return stats_; }
 
  private:
-  Coro<std::uint32_t> toggle_path(std::uint32_t proc, Cycle arrival);
-
   Engine* engine_;
   Memory* mem_;
   McsLock lock_;
   PrismParams params_;
-  std::uint32_t toggle_addr_;
+  std::uint32_t toggle_addr_;  ///< toggle-path tokens; port = count % 2
   std::vector<std::uint32_t> prism_;  ///< slot addresses
+  BalancerStats stats_;
 };
 
 }  // namespace cnet::psim

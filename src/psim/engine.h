@@ -149,8 +149,10 @@ class Engine {
       batch_.clear();
       batch_.swap(slot);
       bitmap_[0][s >> 6] &= ~(1ull << (s & 63));
-      std::sort(batch_.begin(), batch_.end(),
-                [](const Event& a, const Event& b) { return a.seq < b.seq; });
+      if (batch_.size() > 1) {
+        std::sort(batch_.begin(), batch_.end(),
+                  [](const Event& a, const Event& b) { return a.seq < b.seq; });
+      }
       for (const Event& ev : batch_) {
         --pending_;
         ev.handle.resume();

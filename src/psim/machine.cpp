@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "fault/injector.h"
 #include "obs/backend_metrics.h"
@@ -22,7 +21,11 @@ class Machine {
         memory_(engine_, params.mem) {
     CNET_CHECK(n_procs_ >= 1);
 
-    balancers_.reserve(net.node_count());
+    // Construction runs in node-id order across both kinds, so every
+    // balancer's simulated words sit at the same addresses whatever the mix.
+    nodes_.reserve(net.node_count());
+    toggles_.reserve(net.node_count());
+    if (params.use_diffraction) prisms_.reserve(net.node_count());
     for (topo::NodeId id = 0; id < net.node_count(); ++id) {
       const topo::Node& node = net.node(id);
       if (params.use_diffraction && node.fan_in == 1 && node.fan_out == 2) {
@@ -33,11 +36,11 @@ class Machine {
           const std::uint32_t root = std::min(8u, std::max(2u, n_procs_ / 8));
           prism.width = std::max(2u, root >> (node.layer - 1));
         }
-        balancers_.push_back(std::make_unique<DiffractingBalancer>(
-            engine_, memory_, n_procs_, prism));
+        nodes_.push_back(NodeRef{true, static_cast<std::uint32_t>(prisms_.size())});
+        prisms_.emplace_back(engine_, memory_, n_procs_, prism);
       } else {
-        balancers_.push_back(std::make_unique<McsToggleBalancer>(
-            engine_, memory_, n_procs_, node.fan_out));
+        nodes_.push_back(NodeRef{false, static_cast<std::uint32_t>(toggles_.size())});
+        toggles_.emplace_back(engine_, memory_, n_procs_, node.fan_out);
       }
     }
     counters_.reserve(net.output_width());
@@ -85,7 +88,9 @@ class Machine {
     std::vector<Summary> layer_tog(net_->depth());
     result.layers.resize(net_->depth());
     for (topo::NodeId id = 0; id < net_->node_count(); ++id) {
-      const BalancerStats& stats = balancers_[id]->stats();
+      const NodeRef ref = nodes_[id];
+      const BalancerStats& stats =
+          ref.prism ? prisms_[ref.index].stats() : toggles_[ref.index].stats();
       const std::uint32_t layer = net_->node(id).layer - 1;
       tog.merge(stats.tog_wait);
       layer_tog[layer].merge(stats.tog_wait);
@@ -149,7 +154,7 @@ class Machine {
           if (late != 0) co_await engine_.sleep(late);
         }
         const Cycle hop_start = engine_.now();
-        const std::uint32_t port = co_await balancers_[node]->traverse(p, rng);
+        const std::uint32_t port = co_await traverse(node, p, rng);
         ++hops;
         if (params_.record_hops) hop_records.push_back(HopRecord{node, port, hop_start});
         // Stall debits land after the balancer released the token and
@@ -198,6 +203,14 @@ class Machine {
     }
   }
 
+  /// Node `node`'s balancer traversal for processor `p` (a direct call on
+  /// the concrete balancer kind).
+  Coro<std::uint32_t> traverse(topo::NodeId node, std::uint32_t p, Rng& rng) {
+    const NodeRef ref = nodes_[node];
+    if (ref.prism) return prisms_[ref.index].traverse(p, rng);
+    return toggles_[ref.index].traverse(p, rng);
+  }
+
   Cycle post_node_wait(std::uint32_t p, Rng& rng) {
     if (params_.random_wait) {
       return params_.wait_cycles == 0 ? 0 : rng.between(0, params_.wait_cycles);
@@ -210,7 +223,14 @@ class Machine {
   std::uint32_t n_procs_;  ///< script lanes when scripted, else params.processors
   Engine engine_;
   Memory memory_;
-  std::vector<std::unique_ptr<Balancer>> balancers_;
+  /// A node's balancer: prisms_[index] if `prism`, else toggles_[index].
+  struct NodeRef {
+    bool prism;
+    std::uint32_t index;
+  };
+  std::vector<NodeRef> nodes_;
+  std::vector<McsToggleBalancer> toggles_;
+  std::vector<DiffractingBalancer> prisms_;
   std::vector<std::uint32_t> counters_;
   std::vector<Rng> rngs_;
   std::vector<bool> delayed_;

@@ -61,6 +61,9 @@ class Memory {
 
   std::uint64_t accesses() const { return accesses_; }
 
+  /// The engine whose clock this memory runs on.
+  Engine& engine() const { return *engine_; }
+
   /// Awaitable memory response.
   struct Access {
     Engine* engine;

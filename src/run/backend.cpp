@@ -550,6 +550,7 @@ SimulatedRun PsimBackend::simulate(const Workload& workload) {
   out.makespan = static_cast<double>(result.makespan);
   out.avg_tog = result.avg_tog;
   out.avg_c2_over_c1 = result.avg_c2_over_c1;
+  out.analysis = std::move(result.analysis);
   out.ok = true;
   return out;
 }

@@ -15,12 +15,14 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "fault/injector.h"
+#include "lin/checker.h"
 #include "lin/history.h"
 #include "mp/network_service.h"
 #include "obs/backend_metrics.h"
@@ -47,6 +49,9 @@ struct SimulatedRun {
   // psim extras (0 elsewhere):
   double avg_tog = 0.0;         ///< mean toggle wait (cycles)
   double avg_c2_over_c1 = 0.0;  ///< the paper's (Tog + W)/Tog
+  /// Def 2.4 analysis of `history`, when the backend already made it (psim
+  /// does); the Runner then reuses it instead of checking the history again.
+  std::optional<lin::CheckResult> analysis;
 };
 
 class CountingBackend {

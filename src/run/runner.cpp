@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -170,6 +171,7 @@ RunReport Runner::run(CountingBackend& backend, const Workload& workload,
                       std::to_string(backend.spec().max_threads) + " bound");
   }
 
+  std::optional<lin::CheckResult> simulated_analysis;  // a simulated backend's own check
   if (backend.live()) {
     if (workload.arrival == Arrival::kPoisson && workload.rate <= 0.0) {
       return reject(std::move(report), "poisson arrivals need rate > 0");
@@ -230,11 +232,14 @@ RunReport Runner::run(CountingBackend& backend, const Workload& workload,
     report.makespan = result.makespan;
     report.avg_tog = result.avg_tog;
     report.avg_c2_over_c1 = result.avg_c2_over_c1;
+    simulated_analysis = std::move(result.analysis);
   }
 
-  // Uniform post-run analysis: Def 2.4, counting property, step property,
-  // latency/throughput, and the obs snapshot.
-  report.analysis = lin::check(report.history);
+  // Uniform post-run analysis: Def 2.4 (unless the simulated backend
+  // already made it), counting property, step property, latency/throughput,
+  // and the obs snapshot.
+  report.analysis =
+      simulated_analysis ? std::move(*simulated_analysis) : lin::check(report.history);
   if (report.reclaimed_values.empty()) {
     report.counting_ok = lin::values_form_range(report.history, &report.counting_message);
   } else {

@@ -47,7 +47,7 @@ BaseRun run_base(const topo::Network& net, const SearchOptions& options) {
   const psim::Script script = make_schedule(net, options, {});
   psim::MachineResult result = run_schedule(net, options, script, true);
   BaseRun base;
-  base.magnitude = lin::inversion_magnitude(result.history);
+  base.magnitude = result.analysis.worst_inversion;
   base.fraction = result.analysis.fraction();
   base.history = std::move(result.history);
   base.hops = std::move(result.op_hops);
@@ -213,7 +213,7 @@ SearchResult search(const topo::Network& net, const SearchOptions& options) {
     ++result.evaluated;
     const psim::Script script = make_schedule(net, options, set);
     const psim::MachineResult run = run_schedule(net, options, script, false);
-    const std::uint64_t magnitude = lin::inversion_magnitude(run.history);
+    const std::uint64_t magnitude = run.analysis.worst_inversion;
     if (magnitude > result.best_magnitude) {
       result.best_magnitude = magnitude;
       result.best_fraction = run.analysis.fraction();

@@ -49,6 +49,9 @@ TEST_P(MpDeadline, GenerousDeadlineCompletesNormally) {
     ASSERT_TRUE(result.ok);
     EXPECT_EQ(result.value, reference.next_value(input));
   }
+  // Quiesce before reading in_flight: a counter actor decrements it after
+  // delivering, so the client can wake while its token is still counted.
+  ASSERT_TRUE(service.drain(kLongDrainNs).quiescent);
   const NetworkService::RobustnessStats stats = service.robustness_stats();
   EXPECT_EQ(stats.deadline_timeouts, 0u);
   EXPECT_EQ(stats.values_parked, 0u);

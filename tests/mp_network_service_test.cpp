@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <barrier>
 #include <condition_variable>
 #include <mutex>
@@ -177,28 +178,46 @@ INSTANTIATE_TEST_SUITE_P(Cells, MpTopologies, ::testing::Range(0, 6));
 
 TEST(MpSteadyState, PoolSlabsStopGrowingOnceWarm) {
   const topo::Network net = topo::make_bitonic(8);
-  NetworkService service(net, {.workers = 2, .engine = Engine::kLockFree});
+  constexpr std::uint32_t kWorkers = 2;
+  NetworkService service(net, {.workers = kWorkers, .engine = Engine::kLockFree});
   constexpr unsigned kClients = 4;
-  // The client threads stay alive across the snapshot (their pool caches
-  // are thread-local); main joins the barrier to read the stats while all
-  // operations are quiescent.
+  constexpr int kBatchOps = 500;  // per client
+  constexpr int kMaxWarmBatches = 200;
+  // Warm-up runs in batches until every thread has claimed its pool cache
+  // (the pool provisions each claimed cache's working set) and one whole
+  // batch has added no slab; a fixed warm-up length cannot promise the
+  // first. The client threads stay alive across the snapshots (their pool
+  // caches are thread-local); main joins the barrier to read the stats
+  // while all operations are quiescent.
   std::barrier sync(kClients + 1);
+  std::atomic<bool> warm{false};
   MessagePool::Stats before;
+  int warm_batches = 0;
   {
     std::vector<std::jthread> clients;
     for (unsigned c = 0; c < kClients; ++c) {
-      clients.emplace_back([&service, &sync, c] {
-        for (int i = 0; i < 500; ++i) service.count(c % 8);  // warm-up
-        sync.arrive_and_wait();
-        sync.arrive_and_wait();
+      clients.emplace_back([&service, &sync, &warm, c] {
+        do {
+          for (int i = 0; i < kBatchOps; ++i) service.count(c % 8);
+          sync.arrive_and_wait();  // batch done, none in flight
+          sync.arrive_and_wait();  // main has read the stats
+        } while (!warm.load());
         for (int i = 0; i < 2000; ++i) service.count(c % 8);  // steady state
       });
     }
-    sync.arrive_and_wait();  // all warm-up ops complete, none in flight
-    before = service.pool_stats();
-    sync.arrive_and_wait();
+    std::uint64_t slabs = 0;
+    do {
+      sync.arrive_and_wait();
+      before = service.pool_stats();
+      ++warm_batches;
+      const bool settled = before.caches >= kClients + kWorkers && before.slabs == slabs;
+      slabs = before.slabs;
+      warm.store(settled || warm_batches == kMaxWarmBatches);
+      sync.arrive_and_wait();
+    } while (!warm.load());
   }
   const MessagePool::Stats after = service.pool_stats();
+  ASSERT_LT(warm_batches, kMaxWarmBatches) << "the pool did not settle during warm-up";
   EXPECT_GT(before.slabs, 0u);
   EXPECT_EQ(after.slabs, before.slabs) << "hot path allocated at steady state";
   EXPECT_EQ(after.nodes, before.nodes);
