@@ -1,10 +1,9 @@
 // Performance of the simulation engines themselves (google-benchmark):
 // events per second for the event-level timing simulator and the coroutine
-// multiprocessor, so regressions in the substrates are visible — plus a
-// head-to-head of the bucketed timing wheel (psim::Engine) against the
-// retired binary heap (psim::HeapEngine) on the figure-5-shaped event mix
-// (hundreds of processors, short toggle/hop delays interleaved with 100k-
-// cycle waits) that every psim figure bench generates.
+// multiprocessor, so regressions in the substrates are visible — plus the
+// bucketed timing wheel (psim::Engine) alone on the figure-5-shaped event
+// mix (hundreds of processors, short toggle/hop delays interleaved with
+// 100k-cycle waits) that every psim figure bench generates.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -13,7 +12,6 @@
 #include "fault/plan.h"
 #include "psim/coro.h"
 #include "psim/engine.h"
-#include "psim/heap_engine.h"
 #include "psim/machine.h"
 #include "sim/scenarios.h"
 #include "sim/simulator.h"
@@ -23,14 +21,13 @@ namespace {
 
 using namespace cnet;
 
-// --- wheel vs heap on the fig5-shaped mix -------------------------------
+// --- the timing wheel on the fig5-shaped mix -----------------------------
 
 /// One simulated processor of the fig5 workload shape: per network layer a
 /// hop, a small toggle-service delay, and (for the delayed F = 25% subset)
 /// the W-cycle pause. Pure sleeps — no Memory/MCS machinery — so the bench
 /// isolates event-queue cost.
-template <class EngineT>
-psim::Coro<> fig5_mix_proc(EngineT& engine, std::uint32_t id, std::uint64_t rounds,
+psim::Coro<> fig5_mix_proc(psim::Engine& engine, std::uint32_t id, std::uint64_t rounds,
                            psim::Cycle wait, bool delayed) {
   constexpr int kLayers = 15;  // Bitonic[32] depth
   for (std::uint64_t r = 0; r < rounds; ++r) {
@@ -42,9 +39,8 @@ psim::Coro<> fig5_mix_proc(EngineT& engine, std::uint32_t id, std::uint64_t roun
   }
 }
 
-template <class EngineT>
 std::uint64_t run_fig5_mix(std::uint32_t procs, psim::Cycle wait, std::uint64_t total_ops) {
-  EngineT engine;
+  psim::Engine engine;
   const std::uint64_t rounds = std::max<std::uint64_t>(1, total_ops / procs);
   std::vector<psim::Coro<>> tasks;
   tasks.reserve(procs);
@@ -56,25 +52,17 @@ std::uint64_t run_fig5_mix(std::uint32_t procs, psim::Cycle wait, std::uint64_t 
   return engine.events_processed();
 }
 
-template <class EngineT>
-void engine_mix_bench(benchmark::State& state) {
+void BM_EngineWheelFig5Mix(benchmark::State& state) {
   const auto procs = static_cast<std::uint32_t>(state.range(0));
   const auto wait = static_cast<psim::Cycle>(state.range(1));
   std::uint64_t events = 0;
   for (auto _ : state) {
-    events += run_fig5_mix<EngineT>(procs, wait, 5000);
+    events += run_fig5_mix(procs, wait, 5000);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.SetLabel("items = engine events");
 }
-
-void BM_EngineWheelFig5Mix(benchmark::State& state) { engine_mix_bench<psim::Engine>(state); }
 BENCHMARK(BM_EngineWheelFig5Mix)->Args({256, 100000})->Args({256, 1000})->Args({64, 100000});
-
-void BM_EngineHeapFig5Mix(benchmark::State& state) {
-  engine_mix_bench<psim::HeapEngine>(state);
-}
-BENCHMARK(BM_EngineHeapFig5Mix)->Args({256, 100000})->Args({256, 1000})->Args({64, 100000});
 
 void BM_SimRandomExecution(benchmark::State& state) {
   const topo::Network net = topo::make_bitonic(static_cast<std::uint32_t>(state.range(0)));

@@ -21,7 +21,7 @@
 namespace cnet::obs {
 
 /// Telemetry for the real-thread backend (rt::NetworkCounter /
-/// rt::RoutingPlan), shared by both executors. One instance observes one
+/// rt::RoutingPlan). One instance observes one
 /// counter; construct, optionally tune `sample_period` / enable `trace`,
 /// then hand the pointer to rt::CounterOptions::metrics.
 struct CounterMetrics {
@@ -38,8 +38,8 @@ struct CounterMetrics {
   ShardedCounter prism_toggles; ///< prism visits that fell to the toggle
   ShardedCounter mcs_acquires;  ///< MCS balancer critical-section entries
 
-  /// Per-balancer visit counts, indexed by the executor's node index
-  /// (RoutingPlan and the graph walk share topo::Network node ids).
+  /// Per-balancer visit counts, indexed by topo::Network node id (the
+  /// RoutingPlan indexes its nodes by topology id).
   ShardedCounterArray balancer_visits;
 
   LogHistogram token_latency_ns;  ///< entry-to-value, sampled tokens

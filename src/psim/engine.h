@@ -20,7 +20,7 @@
 // most of the engine's time.
 //
 // Ordering contract, preserved bit-for-bit from the heap implementation
-// (psim::HeapEngine, kept in heap_engine.h as ground truth): events fire in
+// (kept as the reference model in tests/psim_engine_wheel_test.cpp): events fire in
 // strictly increasing (cycle, seq), where seq is schedule() call order. A
 // level-0 slot is sorted by seq before firing because direct insertion and
 // cascades from outer levels can interleave out of seq order; events a

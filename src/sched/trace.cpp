@@ -66,7 +66,7 @@ std::vector<std::uint8_t> Trace::serialize() const {
   std::size_t bytes = kHeaderBytes + spec.size() + workload.size();
   for (const TokenRecord& tok : tokens) bytes += kTokenMinBytes + tok.hops.size() * kHopBytes;
   out.reserve(bytes);
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
   put_u32(&out, kVersion);
   put_u32(&out, 0);  // reserved
   put_u32(&out, static_cast<std::uint32_t>(spec.size()));

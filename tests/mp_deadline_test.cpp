@@ -1,14 +1,14 @@
 // Deadline-bounded mp operations: count_until's cancellation race, the
 // parked-ticket recycling that preserves the counting property across
 // abandonments, the quiescence drain, and the abandoned-cell donation path
-// through the process arena — on both engines (the futex CAS protocol and
-// the locked oracle's cancelled_ flag must be observationally identical).
+// through the process arena.
 #include "mp/network_service.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,9 +23,11 @@ namespace {
 
 constexpr std::uint64_t kLongDrainNs = 20'000'000'000;  // far past any stall
 
-std::string engine_name(const ::testing::TestParamInfo<Engine>& info) {
-  return info.param == Engine::kLockFree ? "lockfree" : "locked";
-}
+/// The mp runtime these suites exercise, as a one-value parameter: it keeps
+/// the established `Engines/…/lockfree` test names (printed parameter
+/// included) that CI filters and recorded test lists select on.
+enum class Runtime : std::uint8_t { kLockFree = 1 };
+std::string runtime_name(const ::testing::TestParamInfo<Runtime>&) { return "lockfree"; }
 
 fault::FaultPlan plan_or_die(const char* text) {
   fault::FaultPlan plan;
@@ -34,11 +36,11 @@ fault::FaultPlan plan_or_die(const char* text) {
   return plan;
 }
 
-class MpDeadline : public ::testing::TestWithParam<Engine> {};
+class MpDeadline : public ::testing::TestWithParam<Runtime> {};
 
 TEST_P(MpDeadline, GenerousDeadlineCompletesNormally) {
   const topo::Network net = topo::make_bitonic(4);
-  NetworkService service(net, {.workers = 2, .engine = GetParam()});
+  NetworkService service(net, {.workers = 2});
   topo::SequentialRouter reference(net);
   for (int i = 0; i < 100; ++i) {
     const auto input = static_cast<std::uint32_t>(i % 4);
@@ -64,7 +66,7 @@ TEST_P(MpDeadline, TimeoutParksTheOrphanedValue) {
   // deadline reliably abandons while the token is still mid-network (with
   // margin to spare against the waiter being descheduled under load).
   fault::Injector injector(plan_or_die("stall:1:5000000"));
-  NetworkService service(net, {.workers = 2, .engine = GetParam(), .fault = &injector});
+  NetworkService service(net, {.workers = 2, .fault = &injector});
   const NetworkService::TimedCount result = service.count_until(0, 0, /*timeout_ns=*/100'000);
   EXPECT_FALSE(result.ok);
   EXPECT_EQ(service.robustness_stats().deadline_timeouts, 1u);
@@ -89,7 +91,7 @@ TEST_P(MpDeadline, ParkedValuesAreRecycledBeforeNewTokens) {
   // thread is descheduled for several ms before its first slot check (a
   // 300 us stall flaked exactly that way under a parallel test load).
   fault::Injector injector(plan_or_die("stall:1:5000000"));
-  NetworkService service(net, {.workers = 2, .engine = GetParam(), .fault = &injector});
+  NetworkService service(net, {.workers = 2, .fault = &injector});
   ASSERT_FALSE(service.count_until(0, 0, /*timeout_ns=*/50'000).ok);
   ASSERT_TRUE(service.drain(kLongDrainNs).quiescent);  // value 0 is parked now
 
@@ -105,7 +107,7 @@ TEST_P(MpDeadline, DrainReportsStraysAtItsDeadline) {
   const topo::Network net = topo::make_bitonic(4);
   // 50 ms per hop: the token outlives a 5 ms drain deadline by construction.
   fault::Injector injector(plan_or_die("stall:1:50000000"));
-  NetworkService service(net, {.workers = 2, .engine = GetParam(), .fault = &injector});
+  NetworkService service(net, {.workers = 2, .fault = &injector});
   ASSERT_FALSE(service.count_until(0, 0, /*timeout_ns=*/100'000).ok);
 
   const NetworkService::DrainReport early = service.drain(5'000'000);
@@ -118,13 +120,13 @@ TEST_P(MpDeadline, DrainReportsStraysAtItsDeadline) {
   EXPECT_EQ(service.take_parked().size(), 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, MpDeadline,
-                         ::testing::Values(Engine::kLockFree, Engine::kLocked), engine_name);
+INSTANTIATE_TEST_SUITE_P(Engines, MpDeadline, ::testing::Values(Runtime::kLockFree),
+                         runtime_name);
 
 TEST(MpDeadlineCells, AbandonedCellsAreDonatedAndReadopted) {
   const topo::Network net = topo::make_bitonic(4);
   fault::Injector injector(plan_or_die("stall:1:5000000"));
-  NetworkService service(net, {.workers = 2, .engine = Engine::kLockFree, .fault = &injector});
+  NetworkService service(net, {.workers = 2, .fault = &injector});
   const ResponseCellCache::ArenaStats before = ResponseCellCache::arena_stats();
 
   // The abandoning client runs (and exits) on its own thread so its cell
@@ -156,7 +158,7 @@ TEST(MpDeadlineCells, AbandonedCellsAreDonatedAndReadopted) {
 TEST(MpDeadlineChaos, HistoryPlusParkedIsExactlyTheIssuedRange) {
   const topo::Network net = topo::make_bitonic(8);
   fault::Injector injector(plan_or_die("stall:0.5:300000,seed:13"));
-  NetworkService service(net, {.workers = 3, .engine = Engine::kLockFree, .fault = &injector});
+  NetworkService service(net, {.workers = 3, .fault = &injector});
   constexpr unsigned kClients = 4;
   constexpr int kPerClient = 50;
   std::vector<std::vector<std::uint64_t>> kept(kClients);

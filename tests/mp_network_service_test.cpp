@@ -1,9 +1,7 @@
-// mp runtime + service behaviour, parameterized over both engines: the
-// lock-free fast path (MPSC mailboxes, sharded run queues, futex cells) and
-// the mutex+condvar oracle must be observationally identical — same
-// per-actor FIFO, same message counts, same counting-property values. The
-// lock-free-only suites pin the steady-state allocation guarantees (pool
-// slabs and response cells stop growing once warm).
+// mp runtime + service behaviour: per-actor FIFO, exact message counts, and
+// counting-property values that match the sequential reference
+// topo::SequentialRouter. The steady-state suites pin the allocation
+// guarantees (pool slabs and response cells stop growing once warm).
 #include "mp/network_service.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +10,7 @@
 #include <atomic>
 #include <barrier>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -25,14 +24,16 @@
 namespace cnet::mp {
 namespace {
 
-std::string engine_name(const ::testing::TestParamInfo<Engine>& info) {
-  return info.param == Engine::kLockFree ? "lockfree" : "locked";
-}
+/// The mp runtime these suites exercise, as a one-value parameter: it keeps
+/// the established `Engines/…/lockfree` test names (printed parameter
+/// included) that CI filters and recorded test lists select on.
+enum class Runtime : std::uint8_t { kLockFree = 1 };
+std::string runtime_name(const ::testing::TestParamInfo<Runtime>&) { return "lockfree"; }
 
-class MpActorRuntime : public ::testing::TestWithParam<Engine> {};
+class MpActorRuntime : public ::testing::TestWithParam<Runtime> {};
 
 TEST_P(MpActorRuntime, DeliversInOrderPerActor) {
-  ActorRuntime runtime(ActorRuntime::Options{.workers = 2, .engine = GetParam()});
+  ActorRuntime runtime(ActorRuntime::Options{.workers = 2});
   std::vector<std::uint64_t> seen;
   const ActorId actor = runtime.add_actor([&seen](ActorId, const Message& message) {
     seen.push_back(message.payload);  // serialized per actor: no lock needed
@@ -60,7 +61,7 @@ TEST_P(MpActorRuntime, DeliversInOrderPerActor) {
 }
 
 TEST_P(MpActorRuntime, CountsProcessedMessages) {
-  ActorRuntime runtime(ActorRuntime::Options{.workers = 1, .engine = GetParam()});
+  ActorRuntime runtime(ActorRuntime::Options{.workers = 1});
   const ActorId sink = runtime.add_actor([](ActorId, const Message&) {});
   runtime.start();
   for (int i = 0; i < 50; ++i) runtime.send(sink, Message{});
@@ -69,7 +70,7 @@ TEST_P(MpActorRuntime, CountsProcessedMessages) {
 }
 
 TEST_P(MpActorRuntime, ManyProducersOneConsumerKeepPerProducerOrder) {
-  ActorRuntime runtime(ActorRuntime::Options{.workers = 2, .engine = GetParam()});
+  ActorRuntime runtime(ActorRuntime::Options{.workers = 2});
   constexpr std::uint64_t kProducers = 4;
   constexpr std::uint64_t kPerProducer = 3000;
   // payload = producer * kPerProducer + sequence; the single actor must see
@@ -98,14 +99,14 @@ TEST_P(MpActorRuntime, ManyProducersOneConsumerKeepPerProducerOrder) {
   for (std::uint64_t p = 0; p < kProducers; ++p) EXPECT_EQ(next_expected[p], kPerProducer);
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, MpActorRuntime,
-                         ::testing::Values(Engine::kLockFree, Engine::kLocked), engine_name);
+INSTANTIATE_TEST_SUITE_P(Engines, MpActorRuntime, ::testing::Values(Runtime::kLockFree),
+                         runtime_name);
 
-class MpNetworkService : public ::testing::TestWithParam<Engine> {};
+class MpNetworkService : public ::testing::TestWithParam<Runtime> {};
 
 TEST_P(MpNetworkService, SequentialCountsMatchReference) {
   const topo::Network net = topo::make_bitonic(8);
-  NetworkService service(net, {.workers = 2, .engine = GetParam()});
+  NetworkService service(net, {.workers = 2});
   topo::SequentialRouter reference(net);
   for (int i = 0; i < 200; ++i) {
     const auto input = static_cast<std::uint32_t>(i % 8);
@@ -118,7 +119,7 @@ TEST_P(MpNetworkService, MessageCountMatchesTopology) {
   // (one per balancer hop plus the counter delivery) — for the bitonic all
   // paths have equal length = depth.
   const topo::Network net = topo::make_bitonic(4);
-  NetworkService service(net, {.workers = 1, .engine = GetParam()});
+  NetworkService service(net, {.workers = 1});
   const int ops = 100;
   for (int i = 0; i < ops; ++i) service.count(static_cast<std::uint32_t>(i % 4));
   // The processed counter is incremented after the handler returns, which
@@ -132,7 +133,7 @@ TEST_P(MpNetworkService, DelayedCountsStillCountCorrectly) {
   // count_delayed carries the paper's W inside the token message; the busy
   // wait must not perturb the values (only the timing).
   const topo::Network net = topo::make_bitonic(4);
-  NetworkService service(net, {.workers = 2, .engine = GetParam()});
+  NetworkService service(net, {.workers = 2});
   topo::SequentialRouter reference(net);
   for (int i = 0; i < 50; ++i) {
     const auto input = static_cast<std::uint32_t>(i % 4);
@@ -140,20 +141,18 @@ TEST_P(MpNetworkService, DelayedCountsStillCountCorrectly) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, MpNetworkService,
-                         ::testing::Values(Engine::kLockFree, Engine::kLocked), engine_name);
+INSTANTIATE_TEST_SUITE_P(Engines, MpNetworkService, ::testing::Values(Runtime::kLockFree),
+                         runtime_name);
 
-/// Param = topology * 2 + engine: the uniqueness sweep covers every
-/// (bitonic, periodic, tree) x (lockfree, locked) cell.
+/// Param = topology: the uniqueness sweep covers bitonic, periodic and tree.
 class MpTopologies : public ::testing::TestWithParam<int> {};
 
 TEST_P(MpTopologies, ConcurrentClientsGetUniqueValues) {
-  const int topology = GetParam() / 2;
-  const Engine engine = GetParam() % 2 == 0 ? Engine::kLockFree : Engine::kLocked;
+  const int topology = GetParam();
   const topo::Network net = topology == 0   ? topo::make_bitonic(8)
                             : topology == 1 ? topo::make_periodic(8)
                                             : topo::make_counting_tree(8);
-  NetworkService service(net, {.workers = 3, .engine = engine});
+  NetworkService service(net, {.workers = 3});
   const unsigned clients = 4;
   const int per_client = 2000;
   std::vector<std::vector<std::uint64_t>> values(clients);
@@ -174,12 +173,12 @@ TEST_P(MpTopologies, ConcurrentClientsGetUniqueValues) {
   for (std::uint64_t i = 0; i < all.size(); ++i) ASSERT_EQ(all[i], i);
 }
 
-INSTANTIATE_TEST_SUITE_P(Cells, MpTopologies, ::testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(Cells, MpTopologies, ::testing::Range(0, 3));
 
 TEST(MpSteadyState, PoolSlabsStopGrowingOnceWarm) {
   const topo::Network net = topo::make_bitonic(8);
   constexpr std::uint32_t kWorkers = 2;
-  NetworkService service(net, {.workers = kWorkers, .engine = Engine::kLockFree});
+  NetworkService service(net, {.workers = kWorkers});
   constexpr unsigned kClients = 4;
   constexpr int kBatchOps = 500;  // per client
   constexpr int kMaxWarmBatches = 200;
@@ -227,18 +226,9 @@ TEST(MpSteadyState, PoolSlabsStopGrowingOnceWarm) {
   EXPECT_GE(after.refills, before.refills);
 }
 
-TEST(MpSteadyState, LockedEngineReportsNoPoolTraffic) {
-  const topo::Network net = topo::make_bitonic(4);
-  NetworkService service(net, {.workers = 1, .engine = Engine::kLocked});
-  for (int i = 0; i < 100; ++i) service.count(static_cast<std::uint32_t>(i % 4));
-  const MessagePool::Stats stats = service.pool_stats();
-  EXPECT_EQ(stats.slabs, 0u);
-  EXPECT_EQ(stats.nodes, 0u);
-}
-
 TEST(MpSteadyState, ResponseCellsAreRecycledPerThread) {
   const topo::Network net = topo::make_bitonic(4);
-  NetworkService service(net, {.workers = 2, .engine = Engine::kLockFree});
+  NetworkService service(net, {.workers = 2});
   service.count(0);  // this thread's first operation may create its one cell
   const std::uint64_t before = ResponseCellCache::cells_created();
   for (int i = 0; i < 1000; ++i) service.count(static_cast<std::uint32_t>(i % 4));
@@ -255,7 +245,7 @@ TEST(MpSteadyState, ResponseCellsSurviveThreadChurn) {
   // ones. ASan/LSan in CI vets the lifetime half; the creation count here
   // pins the adoption half.
   const topo::Network net = topo::make_bitonic(4);
-  NetworkService service(net, {.workers = 2, .engine = Engine::kLockFree});
+  NetworkService service(net, {.workers = 2});
   std::jthread([&service] { service.count(0); }).join();  // donor warm-up
   const std::uint64_t before = ResponseCellCache::cells_created();
   const ResponseCellCache::ArenaStats arena_before = ResponseCellCache::arena_stats();
@@ -275,12 +265,12 @@ TEST(MpSteadyState, ResponseCellsSurviveThreadChurn) {
 }
 
 #if CNET_OBS
-class MpObsIntegration : public ::testing::TestWithParam<Engine> {};
+class MpObsIntegration : public ::testing::TestWithParam<Runtime> {};
 
 TEST_P(MpObsIntegration, MetricsMatchMessageFlow) {
   const topo::Network net = topo::make_bitonic(4);
   obs::MpMetrics metrics;
-  NetworkService service(net, {.workers = 2, .engine = GetParam(), .metrics = &metrics});
+  NetworkService service(net, {.workers = 2, .metrics = &metrics});
   constexpr std::uint64_t kOps = 200;
   for (std::uint64_t i = 0; i < kOps; ++i) {
     service.count(static_cast<std::uint32_t>(i % net.input_width()));
@@ -305,13 +295,13 @@ TEST_P(MpObsIntegration, MetricsMatchMessageFlow) {
   EXPECT_EQ(node_total, kOps * net.depth());
   EXPECT_EQ(counter_total, kOps);
   // Every enqueue observed a mailbox depth (clients + forwarded tokens).
-  // Under the lock-free engine the depth values are approximate (relaxed
-  // sharded counter) but the sample count is exact: one per send.
+  // The depth values are approximate (relaxed sharded counter) but the
+  // sample count is exact: one per send.
   EXPECT_EQ(metrics.queue_depth.total(), kOps * (net.depth() + 1));
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, MpObsIntegration,
-                         ::testing::Values(Engine::kLockFree, Engine::kLocked), engine_name);
+INSTANTIATE_TEST_SUITE_P(Engines, MpObsIntegration, ::testing::Values(Runtime::kLockFree),
+                         runtime_name);
 #endif  // CNET_OBS
 
 }  // namespace

@@ -1,25 +1,81 @@
-// The bucketed timing wheel (psim::Engine) must replay the retired binary
-// heap's (cycle, seq) firing order bit-for-bit — psim determinism (identical
-// figures for identical seeds) depends on it. psim::HeapEngine is the
-// original implementation kept verbatim as ground truth; these tests drive
-// both engines through identical randomized schedules and compare traces.
+// The bucketed timing wheel (psim::Engine) must replay a binary heap's
+// (cycle, seq) firing order bit-for-bit — psim determinism (identical
+// figures for identical seeds) depends on it. HeapEngine below is the
+// original heap implementation, kept here as the reference model; these
+// tests drive both engines through identical randomized schedules and
+// compare traces.
 #include "psim/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <coroutine>
 #include <cstdint>
+#include <queue>
 #include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "psim/coro.h"
-#include "psim/heap_engine.h"
+#include "util/assert.h"
 #include "util/rng.h"
 
 namespace cnet::psim {
 namespace {
+
+/// Reference event engine: a binary heap over (cycle, seq). Same contract
+/// as psim::Engine — single-threaded, events fire in (cycle, sequence)
+/// order, sleep(0) continues without touching the queue.
+class HeapEngine {
+ public:
+  Cycle now() const { return now_; }
+
+  void schedule(std::coroutine_handle<> h, Cycle at) {
+    CNET_CHECK_MSG(at >= now_, "cannot schedule into the simulated past");
+    queue_.push(Event{at, next_seq_++, h});
+  }
+
+  void run() {
+    while (!queue_.empty()) {
+      const Event ev = queue_.top();
+      queue_.pop();
+      now_ = ev.at;
+      ev.handle.resume();
+    }
+  }
+
+  std::uint64_t events_processed() const { return next_seq_; }
+
+  auto sleep(Cycle dt) {
+    struct Awaiter {
+      HeapEngine& engine;
+      Cycle dt;
+      bool await_ready() const noexcept { return dt == 0; }
+      void await_suspend(std::coroutine_handle<> h) const {
+        engine.schedule(h, engine.now_ + dt);
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{*this, dt};
+  }
+
+ private:
+  struct Event {
+    Cycle at;
+    std::uint64_t seq;
+    std::coroutine_handle<> handle;
+  };
+  struct After {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.at != b.at) return a.at > b.at;
+      return a.seq > b.seq;
+    }
+  };
+
+  Cycle now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::priority_queue<Event, std::vector<Event>, After> queue_;
+};
 
 /// One firing: (cycle, chain id, step index within the chain).
 using Trace = std::vector<std::tuple<Cycle, int, int>>;

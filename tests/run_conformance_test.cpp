@@ -42,7 +42,6 @@ TEST(RunConformance, SeededMatrixAcrossSimPsimRt) {
       "psim:tree:16?diffraction=on",
       "psim:bitonic:8?mcs",
       "rt:bitonic:8",
-      "rt:bitonic:8?engine=walk",
       "rt:tree:16?diffraction=on",
       "rt:bitonic:8?pad=3",
   };
@@ -80,8 +79,7 @@ TEST(RunConformance, DelayedFractionMatrix) {
   workload.wait = 200;
   workload.seed = 13;
   for (const std::string spec :
-       {"sim:bitonic:8", "psim:bitonic:8", "rt:bitonic:8", "mp:bitonic:8?actors=2",
-        "mp:bitonic:8?actors=2&engine=locked"}) {
+       {"sim:bitonic:8", "psim:bitonic:8", "rt:bitonic:8", "mp:bitonic:8?actors=2"}) {
     SCOPED_TRACE(spec);
     expect_conformant(run_spec(spec, workload), spec);
   }
