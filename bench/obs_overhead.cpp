@@ -109,7 +109,7 @@ BENCHMARK(BM_PlanObsTraced)
 
 void run_batch_body(benchmark::State& state) {
   const auto tid = static_cast<std::uint32_t>(state.thread_index());
-  const auto input = tid % g_counter->network().input_width();
+  const auto input = g_counter->entry_wire(tid);
   std::vector<std::uint64_t> values(static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
     g_counter->next_batch(tid, input, values);

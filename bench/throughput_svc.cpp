@@ -217,7 +217,7 @@ void BM_DeployRtInProc(benchmark::State& state) {
         for (std::uint64_t done = 0; done < quota;) {
           const auto n = static_cast<std::uint32_t>(
               std::min<std::uint64_t>(kDeployBatch, quota - done));
-          counter.next_batch(t, t % counter.network().input_width(),
+          counter.next_batch(t, counter.entry_wire(t),
                              std::span<std::uint64_t>(values, n));
           done += n;
         }

@@ -54,6 +54,12 @@ check_rc "unknown workload key exits 2" 2 "$CLI" run "rt:bitonic:8" banana=1
 check_output "spec diagnostics echo the spec" "bogus:bitonic:8" \
   "$CLI" run "bogus:bitonic:8"
 
+# --- topology info ---------------------------------------------------------
+check_output "info prints the bit-reversed bitonic entry order" \
+  "entry order *: 0 4 2 6 1 5 3 7" "$CLI" info bitonic 8
+check_output "info prints the identity periodic entry order" \
+  "entry order *: 0 1 2 3 4 5 6 7" "$CLI" info periodic 8
+
 # --- spec-driven run on every family ---------------------------------------
 for spec in "sim:bitonic:8" "psim:bitonic:8" "rt:bitonic:8" "mp:bitonic:8?actors=2"; do
   check "run $spec" "$CLI" run "$spec" threads=2 ops=200 seed=5

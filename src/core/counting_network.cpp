@@ -53,11 +53,11 @@ SharedCounter::SharedCounter(const Config& config)
     : counter_(network_for(config), options_for(config)) {}
 
 std::uint64_t SharedCounter::next(std::uint32_t thread_id) {
-  return counter_.next(thread_id, thread_id % counter_.network().input_width());
+  return counter_.next(thread_id);
 }
 
 void SharedCounter::next_batch(std::uint32_t thread_id, std::span<std::uint64_t> out) {
-  counter_.next_batch(thread_id, thread_id % counter_.network().input_width(), out);
+  counter_.next_batch(thread_id, counter_.entry_wire(thread_id), out);
 }
 
 }  // namespace cnet

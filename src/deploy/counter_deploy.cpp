@@ -64,7 +64,7 @@ void tile_thread(rt::RoutingPlan& plan, ControlBlock* ctl, StreamCursor* cursors
                  std::uint32_t total_threads, OpRecord* slice, std::uint64_t quota,
                  std::uint32_t gid, std::uint32_t batch) {
   StreamCursor& cursor = cursors[gid];
-  const std::uint32_t input = gid % plan.input_width();
+  const std::uint32_t input = plan.entry_wire(gid);
   std::vector<std::uint64_t> values(batch);
   std::uint64_t k = cursor.committed.load(std::memory_order_acquire);
   while (k < quota) {

@@ -252,7 +252,6 @@ int counter_main(const DeployOptions& options, const PipeShape& shape, int ws_fd
 
   std::vector<std::uint8_t> out(sizeof(ResFrag) + std::size_t{shape.batch} * 8);
   std::vector<std::uint64_t> values(shape.batch);
-  const std::uint32_t input_width = plan.input_width();
   while (env.ctl->stop.load(std::memory_order_acquire) == 0) {
     bool progress = false;
     for (std::uint32_t s = 0; s < shape.streams; ++s) {
@@ -262,7 +261,7 @@ int counter_main(const DeployOptions& options, const PipeShape& shape, int ws_fd
       if (poll != link::Consumer::Poll::kFrag) continue;  // reliable: never overrun
       progress = true;
       const std::uint32_t n = std::min(req.count, shape.batch);
-      plan.next_batch(/*thread=*/0, req.stream % input_width,
+      plan.next_batch(/*thread=*/0, plan.entry_wire(req.stream),
                       std::span<std::uint64_t>(values.data(), n));
       auto* res = reinterpret_cast<ResFrag*>(out.data());
       res->req_seq = req.req_seq;
@@ -392,7 +391,6 @@ int sock_counter_main(const DeployOptions& options, const PipeShape& shape, int 
                        rt::PlanArena{plan_base, plan_footprint, /*attach=*/true});
   if (!boot_barrier(env.ctl, counter_tile())) return 0;
 
-  const std::uint32_t input_width = plan.input_width();
   std::vector<pollfd> fds(shape.streams);
   for (std::uint32_t s = 0; s < shape.streams; ++s) fds[s] = {req_fds[s], POLLIN, 0};
   std::uint32_t drained = 0;
@@ -410,7 +408,7 @@ int sock_counter_main(const DeployOptions& options, const PipeShape& shape, int 
         continue;
       }
       std::uint64_t value = 0;
-      plan.next_batch(/*thread=*/0, req.stream % input_width,
+      plan.next_batch(/*thread=*/0, plan.entry_wire(req.stream),
                       std::span<std::uint64_t>(&value, 1));
       auto* res = reinterpret_cast<ResFrag*>(out);
       *res = ResFrag{req.req_seq, req.start_ns, now_ns(), 1, req.stream};

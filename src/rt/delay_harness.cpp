@@ -69,7 +69,7 @@ ExperimentResult run_experiment(const topo::Network& net, const ExperimentParams
         }
         WaitCtx ctx{delayed[tid] ? params.wait_ns : 0};
         lin::History& ops = per_thread[tid];
-        const std::uint32_t input = tid % net.input_width();
+        const std::uint32_t input = counter.entry_wire(tid);
         while (completed.load(std::memory_order_relaxed) < params.total_ops) {
           const double start = ns_since(t0);
           const std::uint64_t value =

@@ -85,11 +85,16 @@ class NetworkCounter {
   /// globally unique.
   void next_batch(std::uint32_t thread_id, std::uint32_t input, std::span<std::uint64_t> out);
 
-  /// Convenience for single-input networks (trees) or "any input" use:
-  /// enters at input thread_id mod input_width.
+  /// Routes one token for issuer `thread_id`, entering at the topology's
+  /// entry wire for it (topo::Network::entry_wire: on Bitonic[w] the first
+  /// 2^j issuers enter disjoint Bitonic[w/2^j] sub-networks).
   std::uint64_t next(std::uint32_t thread_id) {
-    return next(thread_id, thread_id % net_.input_width());
+    return next(thread_id, plan_.entry_wire(thread_id));
   }
+
+  /// The input wire issuer `thread_id` enters at; the input every
+  /// thread-keyed path (next(thread_id), batches, hooked walks) should use.
+  std::uint32_t entry_wire(std::uint32_t thread_id) const { return plan_.entry_wire(thread_id); }
 
   /// The topology this counter executes (the construction-time copy).
   const topo::Network& network() const { return net_; }

@@ -19,6 +19,10 @@ constexpr std::uint64_t kPaired = 1ull << 32;
 /// per-token output fetch_add.
 constexpr std::uint32_t kMaxBatchedWidth = 256;
 
+/// Issuer ids beyond this many (or beyond CounterOptions::max_threads) fall
+/// back from the issuer-slot table to entry_wire's modulo.
+constexpr std::uint32_t kMaxIssuerSlots = 4096;
+
 /// Per-thread RNG for prism slot choice (no cross-thread state).
 Rng& prism_rng() {
   static std::atomic<std::uint64_t> counter{0x51ed270b0a1efULL};
@@ -184,6 +188,11 @@ RoutingPlan::RoutingPlan(const topo::Network& net, const CounterOptions& options
   for (const std::uint32_t hop : succ_) succ_fast_.push_back(resolve(hop));
   entry_fast_.reserve(entry_.size());
   for (const std::uint32_t hop : entry_) entry_fast_.push_back(resolve(hop));
+
+  // Issuer slots: the topology's entry order unrolled over the issuer ids a
+  // caller can pass (at least one full period, at most kMaxIssuerSlots).
+  issuer_wire_.resize(std::max(input_width_, std::min(options.max_threads, kMaxIssuerSlots)));
+  for (std::uint32_t i = 0; i < issuer_wire_.size(); ++i) issuer_wire_[i] = net.entry_wire(i);
 
   // Homogeneity profile: with only fan-out-2 toggles left on the fast path,
   // state_idx_ == a dense renumbering and the switch can be hoisted.

@@ -173,6 +173,13 @@ class RoutingPlan {
   std::uint32_t input_width() const { return input_width_; }
   std::uint32_t output_width() const { return output_width_; }
 
+  /// The input wire issuer `issuer` enters at: topo::Network::entry_wire,
+  /// precomputed per issuer slot (the first max_threads of them) so the
+  /// lookup is one table load.
+  std::uint32_t entry_wire(std::uint32_t issuer) const {
+    return issuer_wire_[issuer < issuer_wire_.size() ? issuer : issuer % input_width_];
+  }
+
   /// Tokens that exited so far (sum over outputs); linearizably exact only
   /// in quiescence.
   std::uint64_t issued() const;
@@ -242,6 +249,7 @@ class RoutingPlan {
   std::vector<std::uint32_t> entry_;       ///< per network input
   std::vector<std::uint32_t> succ_fast_;   ///< succ_ with pass chains resolved
   std::vector<std::uint32_t> entry_fast_;  ///< entry_ with pass chains resolved
+  std::vector<std::uint32_t> issuer_wire_; ///< per issuer slot: its entry wire
 
   // --- balancer state, dense per kind, in one arena block -----------------
   // Raw pointers into either `owned_` (default: private heap block) or a

@@ -29,8 +29,7 @@ TicketBuffer::TicketBuffer(Options options)
 }
 
 void TicketBuffer::enqueue(std::uint32_t thread_id, Item item) {
-  const std::uint64_t ticket =
-      enqueue_tickets_.next(thread_id, thread_id % options_.network_width);
+  const std::uint64_t ticket = enqueue_tickets_.next(thread_id);
   Slot& slot = *slots_[ticket % options_.capacity];
   SpinWaiter waiter;
   while (slot.sequence.load(std::memory_order_acquire) != ticket) {
@@ -41,8 +40,7 @@ void TicketBuffer::enqueue(std::uint32_t thread_id, Item item) {
 }
 
 TicketBuffer::Item TicketBuffer::dequeue(std::uint32_t thread_id) {
-  const std::uint64_t ticket =
-      dequeue_tickets_.next(thread_id, thread_id % options_.network_width);
+  const std::uint64_t ticket = dequeue_tickets_.next(thread_id);
   Slot& slot = *slots_[ticket % options_.capacity];
   SpinWaiter waiter;
   while (slot.sequence.load(std::memory_order_acquire) != ticket + 1) {

@@ -259,11 +259,11 @@ void RtBackend::count_batch(std::uint32_t thread_id, std::span<std::uint64_t> ou
     for (auto& value : out) value = count_delayed(thread_id, 0);
     return;
   }
-  counter_.next_batch(thread_id, thread_id % network().input_width(), out);
+  counter_.next_batch(thread_id, counter_.entry_wire(thread_id), out);
 }
 
 std::uint64_t RtBackend::count_delayed(std::uint32_t thread_id, std::uint64_t wait_ns) {
-  const std::uint32_t input = thread_id % network().input_width();
+  const std::uint32_t input = counter_.entry_wire(thread_id);
   if (recorder_ != nullptr) [[unlikely]] {
     CaptureCtx ctx{recorder_, wait_ns, fault_.get(), thread_id, 0};
     recorder_->issue(&ctx, input);
@@ -307,25 +307,25 @@ MpBackend::MpBackend(const BackendSpec& spec)
       service_(spec.build_network(), mp_options(spec, metrics_.get(), fault_.get())) {}
 
 std::uint64_t MpBackend::count(std::uint32_t thread_id) {
-  return service_.count(thread_id % network().input_width());
+  return service_.count(network().entry_wire(thread_id));
 }
 
 std::uint64_t MpBackend::count_delayed(std::uint32_t thread_id, std::uint64_t wait_ns) {
-  return service_.count_delayed(thread_id % network().input_width(), wait_ns);
+  return service_.count_delayed(network().entry_wire(thread_id), wait_ns);
 }
 
 CountingBackend::TimedCount MpBackend::count_until(std::uint32_t thread_id,
                                                    std::uint64_t wait_ns,
                                                    std::uint64_t timeout_ns) {
   const mp::NetworkService::TimedCount result =
-      service_.count_until(thread_id % network().input_width(), wait_ns, timeout_ns);
+      service_.count_until(network().entry_wire(thread_id), wait_ns, timeout_ns);
   return {result.ok, result.value};
 }
 
 CountingBackend::PendingCount MpBackend::count_begin(std::uint32_t thread_id,
                                                      std::uint64_t wait_ns) {
   const mp::NetworkService::Pending p =
-      service_.count_begin(thread_id % network().input_width(), wait_ns);
+      service_.count_begin(network().entry_wire(thread_id), wait_ns);
   return {p.cell, p.value, p.input, p.start_ns};
 }
 

@@ -72,7 +72,10 @@ class CountingBackend {
 
   // -- live backends only (CHECK-fails on simulated ones) --------------
   /// One counting operation. `thread_id` must be unique among concurrent
-  /// callers (and < spec().max_threads on rt).
+  /// callers (and < spec().max_threads on rt). Every live thread-keyed call
+  /// enters the network at network().entry_wire(thread_id), so concurrent
+  /// callers with small distinct ids start in disjoint sub-networks where
+  /// the topology has them.
   virtual std::uint64_t count(std::uint32_t thread_id);
   /// Claims out.size() values in one call (batched where the backend can).
   virtual void count_batch(std::uint32_t thread_id, std::span<std::uint64_t> out);

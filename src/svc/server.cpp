@@ -432,10 +432,10 @@ class Server::Loop {
     for (std::size_t base = 0; base < plain.size(); base += cap) {
       const std::size_t n = std::min<std::size_t>(cap, plain.size() - base);
       values.resize(n);
-      // The rotor spreads successive chunks over this loop's slice of the
-      // entry inputs (count_batch enters at thread_id mod input_width);
-      // slices are disjoint across loops, so concurrent chunks never share
-      // a thread id.
+      // The rotor spreads successive chunks over this loop's slice of
+      // thread ids, each entering at the topology's entry wire for it
+      // (topo::Network::entry_wire); slices are disjoint across loops, so
+      // concurrent chunks never share a thread id.
       const std::uint32_t thread_id =
           issue_base_ + static_cast<std::uint32_t>(batch_rotor_++ % issue_slots_);
       s_.backend_.count_batch(thread_id, values);

@@ -1,5 +1,6 @@
 #include "topo/builders.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -130,6 +131,20 @@ std::vector<Wire> tree(NetworkBuilder& b, Wire src, std::uint32_t fan, std::uint
   return out;
 }
 
+/// Bit-reversed wire order for a power-of-two width: 0, w/2, w/4, 3w/4, ...
+/// Issuer k gets the wire whose Bitonic sub-network is furthest from those
+/// already handed out, so the first 2^j issuers own one Bitonic[w/2^j] each.
+std::vector<std::uint32_t> bit_reversed_order(std::uint32_t width) {
+  const std::uint32_t bits = log2_exact(width);
+  std::vector<std::uint32_t> order(width);
+  for (std::uint32_t k = 0; k < width; ++k) {
+    std::uint32_t reversed = 0;
+    for (std::uint32_t b = 0; b < bits; ++b) reversed |= ((k >> b) & 1u) << (bits - 1 - b);
+    order[k] = reversed;
+  }
+  return order;
+}
+
 }  // namespace
 
 Network make_balancer(std::uint32_t fan) {
@@ -149,6 +164,7 @@ Network make_bitonic(std::uint32_t width) {
   NetworkBuilder b(width, width);
   const std::vector<Wire> out = bitonic(b, input_wires(width));
   attach_all_outputs(b, out);
+  b.set_entry_order(bit_reversed_order(width));
   b.set_name("Bitonic[" + std::to_string(width) + "]");
   return b.build();
 }
@@ -251,6 +267,7 @@ Network make_serial(const Network& first, const Network& second) {
   std::vector<Wire> stage2_out;
   clone_network(b, second, stage1_out, stage2_out);
   attach_all_outputs(b, stage2_out);
+  b.set_entry_order(first.entry_order());
   b.set_name(first.name() + ">" + second.name());
   return b.build();
 }
@@ -273,6 +290,17 @@ Network make_parallel(const Network& top, const Network& bottom) {
   for (std::uint32_t i = 0; i < bottom.output_width(); ++i) {
     b.attach_output(bottom_out[i].node, bottom_out[i].port, w1 + i);
   }
+  // Alternate between the parts, each in its own order: consecutive issuers
+  // land in different parts while both have wires left.
+  const std::vector<std::uint32_t>& top_order = top.entry_order();
+  const std::vector<std::uint32_t>& bottom_order = bottom.entry_order();
+  std::vector<std::uint32_t> order;
+  order.reserve(top_order.size() + bottom_order.size());
+  for (std::size_t i = 0; i < std::max(top_order.size(), bottom_order.size()); ++i) {
+    if (i < top_order.size()) order.push_back(top_order[i]);
+    if (i < bottom_order.size()) order.push_back(v1 + bottom_order[i]);
+  }
+  b.set_entry_order(std::move(order));
   b.set_name(top.name() + "|" + bottom.name());
   return b.build();
 }
@@ -313,6 +341,7 @@ Network make_padded(const Network& base, std::uint32_t prefix_len) {
     const InLink& src = base.outputs()[i];
     b.attach_output(map[src.node], src.port, i);
   }
+  b.set_entry_order(base.entry_order());
   b.set_name("Padded[" + std::to_string(prefix_len) + "]+" + base.name());
   return b.build();
 }

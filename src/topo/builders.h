@@ -16,6 +16,13 @@
 //
 // All builders produce uniform networks (Def 2.1); this is asserted in
 // build() metadata and exercised by the test suite.
+//
+// Entry orders (Network::entry_order) follow the construction: make_bitonic
+// hands out its wires bit-reversed, make_parallel alternates between its
+// parts, make_serial and make_padded keep the first / base network's order,
+// and every other builder keeps the identity. On Periodic[w] every block
+// crosses the halves in its first layer, and a greedy search over the input
+// cones picks the identity itself (tests/topo_entry_order_test.cpp).
 #pragma once
 
 #include <cstdint>

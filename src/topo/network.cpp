@@ -1,6 +1,7 @@
 #include "topo/network.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/assert.h"
 
@@ -135,6 +136,18 @@ Network NetworkBuilder::build() {
     if (layer[link.node] != depth) uniform = false;
   net_.uniform_ = uniform;
   net_.name_ = name_.empty() ? "network" : name_;
+
+  if (entry_order_.empty()) {
+    entry_order_.resize(net_.input_width_);
+    std::iota(entry_order_.begin(), entry_order_.end(), 0u);
+  }
+  CNET_CHECK_MSG(entry_order_.size() == net_.input_width_, "entry order has the wrong width");
+  std::vector<bool> seen(net_.input_width_, false);
+  for (const std::uint32_t wire : entry_order_) {
+    CNET_CHECK_MSG(wire < net_.input_width_ && !seen[wire], "entry order is not a permutation");
+    seen[wire] = true;
+  }
+  net_.entry_order_ = std::move(entry_order_);
   return std::move(net_);
 }
 

@@ -15,6 +15,15 @@
 // once, acyclic) and precomputes the layer structure used by the uniformity
 // analysis (Def 2.1) and by the simulators.
 //
+// Entry order: a network also carries the order in which concurrent issuers
+// are handed its input wires (entry_wire). Builders derive it from what they
+// compose, so that issuers 0..k-1 enter sub-networks whose paths stay
+// disjoint as deep as the structure allows: Bitonic[w] = Bitonic[w/2] ||
+// Bitonic[w/2] -> Merger[w] hands out wires in bit-reversed order, so the
+// first k = 2^j issuers own one Bitonic[w/k] each until the mergers. The
+// live executors (rt, mp, deploy) map issuers through it; the paper's
+// simulators (sim, psim, sched) keep their own p mod w input assignment.
+//
 // Naming note: cnet::topo is the balancing-network wiring diagram — the
 // math object. The *process* topology (which OS processes map which
 // shared-memory objects) is the separate cnet::deploy layer
@@ -81,6 +90,16 @@ class Network {
   /// Human-readable one-line summary, e.g. "Bitonic[32] depth=15 nodes=240".
   const std::string& name() const { return name_; }
 
+  /// Input wire that concurrent issuer `issuer` enters at:
+  /// entry_order()[issuer mod input_width].
+  std::uint32_t entry_wire(std::uint32_t issuer) const {
+    return entry_order_[issuer % input_width_];
+  }
+
+  /// A permutation of 0..input_width-1: issuer slot i enters at wire
+  /// entry_order()[i]. Identity unless the builder knows better.
+  const std::vector<std::uint32_t>& entry_order() const { return entry_order_; }
+
  private:
   friend class NetworkBuilder;
   Network() = default;
@@ -91,6 +110,7 @@ class Network {
   std::vector<OutLink> inputs_;
   std::vector<InLink> outputs_;
   std::vector<std::vector<NodeId>> layers_;
+  std::vector<std::uint32_t> entry_order_;
   std::uint32_t depth_ = 0;
   bool uniform_ = false;
   std::string name_;
@@ -115,6 +135,11 @@ class NetworkBuilder {
 
   void set_name(std::string name) { name_ = std::move(name); }
 
+  /// Issuer slot i enters at wire order[i] (see Network::entry_order);
+  /// build() checks that it is a permutation of the inputs. Defaults to the
+  /// identity.
+  void set_entry_order(std::vector<std::uint32_t> order) { entry_order_ = std::move(order); }
+
   /// Validates wiring completeness and acyclicity, computes layers/depth/
   /// uniformity. Aborts (CNET_CHECK) on malformed wiring: builders are
   /// library code, so malformed wiring is a bug, not user error.
@@ -123,6 +148,7 @@ class NetworkBuilder {
  private:
   Network net_;
   std::string name_;
+  std::vector<std::uint32_t> entry_order_;
   std::vector<bool> input_attached_;
   std::vector<bool> output_attached_;
 };

@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/backend_metrics.h"
 #include "rt/diffracting_tree.h"
 #include "topo/builders.h"
 
@@ -86,8 +87,40 @@ INSTANTIATE_TEST_SUITE_P(Configs, CounterConfigs, ::testing::Range(0, 5));
 
 TEST(NetworkCounter, TreeSingleInputConvenience) {
   NetworkCounter counter(topo::make_counting_tree(8));
-  // next(thread_id) uses input thread_id % 1 == 0 for trees.
+  // A tree has one input: every issuer enters there.
   for (std::uint64_t i = 0; i < 20; ++i) EXPECT_EQ(counter.next(3), i);
+}
+
+TEST(NetworkCounter, IssuersEnterAtTheTopologyEntryOrder) {
+  // On Bitonic[32] the first four issuers each own a Bitonic[8]: they enter
+  // wires 0, 16, 8, 24 (four distinct layer-1 balancers), not 0..3, which
+  // would pair them on two.
+  const topo::Network net = topo::make_bitonic(32);
+  const std::uint32_t expected[] = {0, 16, 8, 24};
+  CounterOptions options;
+  options.max_threads = 8;
+#if CNET_OBS
+  obs::CounterMetrics metrics;
+  options.metrics = &metrics;
+#endif
+  NetworkCounter counter(net, options);
+  std::vector<topo::NodeId> first_balancers;
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(counter.entry_wire(t), expected[t]);
+    const topo::NodeId first = net.inputs()[expected[t]].node;
+    first_balancers.push_back(first);
+#if CNET_OBS
+    const std::uint64_t before = metrics.balancer_visits.value(first);
+    counter.next(t);
+    EXPECT_EQ(metrics.balancer_visits.value(first), before + 1) << "issuer " << t;
+#endif
+  }
+  std::sort(first_balancers.begin(), first_balancers.end());
+  EXPECT_EQ(std::unique(first_balancers.begin(), first_balancers.end()), first_balancers.end());
+  // Issuer ids past the precomputed slots follow the same rule.
+  for (std::uint32_t t : {8u, 31u, 33u, 5000u, 0xffffffffu}) {
+    EXPECT_EQ(counter.entry_wire(t), net.entry_wire(t)) << "issuer " << t;
+  }
 }
 
 TEST(DiffractingTree, SequentialValues) {
@@ -144,6 +177,7 @@ TEST(NetworkCounterDeath, ThreadIdBeyondMax) {
   options.max_threads = 4;
   NetworkCounter counter(topo::make_bitonic(8), options);
   EXPECT_DEATH(counter.next(4, 0), "");
+  EXPECT_DEATH(counter.next(4), "");
 }
 
 }  // namespace

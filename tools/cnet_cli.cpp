@@ -232,6 +232,12 @@ int cmd_info(const std::string& kind, std::uint32_t width) {
   std::printf("  layers           : ");
   for (const auto& layer : net.layers()) std::printf("%zu ", layer.size());
   std::printf("\n");
+  std::printf("  entry order      : ");
+  const std::vector<std::uint32_t>& order = net.entry_order();
+  for (std::size_t i = 0; i < std::min<std::size_t>(order.size(), 16); ++i) {
+    std::printf("%u ", order[i]);
+  }
+  std::printf("%s\n", order.size() > 16 ? "..." : "");
   std::printf("theory (c1 = 1):\n");
   std::printf("  linearizable for any timing with c2 <= 2 (Cor 3.9)\n");
   for (double c2 : {3.0, 4.0, 8.0}) {
